@@ -94,9 +94,9 @@ def _fault_tolerance(args: argparse.Namespace, base_policy=None,
     """Resolve the flags (plus a manifest's [execution] base) to
     ``(retry_policy, keep_going, injector)``.
 
-    CLI flags override the manifest's declared policy field by field; any
-    fault-tolerance request (flags, manifest section, chaos spec) implies a
-    policy so the executor runs in fault-tolerant mode.
+    CLI flags override the manifest's declared policy field by field.  The
+    policy stays ``None`` when nothing declares one; the executor then picks
+    fail-fast, or its default retry policy under ``keep_going``/chaos.
     """
     from repro.experiments.faults import FaultInjector, RetryPolicy
 
@@ -113,8 +113,6 @@ def _fault_tolerance(args: argparse.Namespace, base_policy=None,
             timeout=(args.timeout if args.timeout is not None
                      else base.timeout),
         )
-    if policy is None and (keep_going or injector is not None):
-        policy = RetryPolicy()
     return policy, keep_going, injector
 
 

@@ -7,10 +7,14 @@ module turns that grid into explicit jobs:
 * :class:`RunSpec` — a frozen, hashable description of one run, including a
   fingerprint of the :class:`~repro.experiments.configs.ExperimentSettings`
   it is valid under, so results can be stored and looked up by content.
-* :class:`SerialExecutor` / :class:`ParallelExecutor` — pluggable execution
-  backends; the parallel one fans jobs out over a
+* :class:`JobExecutor` — one fault-tolerant scheduling loop (sliding
+  window, retries with deterministic backoff, failure records, salvage on
+  abort) over a runner that each executor chooses:
+  :class:`SerialExecutor` runs jobs in the calling process, one at a time;
+  :class:`ParallelExecutor` submits them to a
   :class:`~concurrent.futures.ProcessPoolExecutor` whose workers each keep
-  their own dataset cache (one benchmark load per worker, not per job).
+  their own dataset cache (one benchmark load per worker, not per job) and
+  which the loop rebuilds on per-job timeouts and worker crashes.
 * :class:`ExperimentEngine` — ties an executor to an optional
   :class:`~repro.experiments.store.ArtifactStore`: completed runs are loaded
   from the store instead of re-executed (resume), fresh results are persisted.
@@ -382,93 +386,7 @@ def _execute_spec_unguarded(
 # --------------------------------------------------------------------------- #
 # Executors
 # --------------------------------------------------------------------------- #
-class SerialExecutor:
-    """Execute jobs one after another in the calling process.
-
-    ``execute`` yields ``(spec, result)`` pairs as runs complete so the
-    engine can persist each run before the next one starts.
-
-    With a :class:`~repro.experiments.faults.RetryPolicy` the executor
-    retries transient failures in place (deterministic backoff, fault
-    injection honored); per-job *timeouts* and worker-crash recovery need
-    process isolation and are therefore exclusive to
-    :class:`ParallelExecutor`.  ``keep_going`` records permanent failures in
-    ``last_failures`` instead of aborting the sweep.
-    """
-
-    def __init__(
-        self,
-        retry_policy: RetryPolicy | None = None,
-        keep_going: bool = False,
-        injector: FaultInjector | None = None,
-    ) -> None:
-        if retry_policy is None and (keep_going or injector is not None):
-            retry_policy = RetryPolicy()
-        self.retry_policy = retry_policy
-        self.keep_going = keep_going
-        self.injector = injector
-        self.last_failures: list[FailureRecord] = []
-        self.last_retries = 0
-        if retry_policy is not None and retry_policy.timeout is not None:
-            warnings.warn(
-                "SerialExecutor cannot enforce per-job timeouts (jobs run in "
-                "the calling process); use ParallelExecutor for --timeout",
-                stacklevel=2)
-
-    def execute(
-        self, specs: Sequence[RunSpec], settings: ExperimentSettings,
-    ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        self.last_failures = []
-        self.last_retries = 0
-        if self.retry_policy is None:
-            for spec in specs:
-                yield spec, execute_spec(spec, settings)
-            return
-        yield from self._execute_with_policy(specs, settings)
-
-    def _execute_with_policy(
-        self, specs: Sequence[RunSpec], settings: ExperimentSettings,
-    ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        policy = self.retry_policy
-        assert policy is not None
-        injector = (self.injector.resolve(list(specs))
-                    if self.injector is not None else None)
-        init_injector(injector)
-        try:
-            for spec in specs:
-                fingerprint = spec.fingerprint()
-                failed = 0
-                tracebacks: list[str] = []
-                elapsed: list[float] = []
-                while True:
-                    started = time.monotonic()
-                    try:
-                        if injector is not None:
-                            fault_injection_point(fingerprint, failed)
-                        result = execute_spec(spec, settings)
-                    except Exception as error:
-                        elapsed.append(time.monotonic() - started)
-                        tracebacks.append(record_traceback(error))
-                        failed += 1
-                        if policy.retryable(error, failed):
-                            self.last_retries += 1
-                            time.sleep(policy.backoff_seconds(
-                                fingerprint, failed - 1))
-                            continue
-                        self.last_failures.append(FailureRecord.from_failure(
-                            spec, fingerprint, error, failed,
-                            tuple(tracebacks), tuple(elapsed)))
-                        if self.keep_going:
-                            break
-                        raise
-                    else:
-                        yield spec, result
-                        break
-        finally:
-            init_injector(None)
-
-
-# Worker-process state for ParallelExecutor, set by the pool initializer.
+# Worker-process state for the pool runner, set by the pool initializer.
 _WORKER_SETTINGS: ExperimentSettings | None = None
 
 
@@ -497,122 +415,96 @@ def _init_worker(settings: ExperimentSettings,
     init_injector(injector)
 
 
+def _run_job(spec: RunSpec, attempt: int,
+             settings: ExperimentSettings) -> ActiveLearningResult:
+    """The job body of both runners: fire the chaos hook, then run the spec.
+
+    ``execute_spec`` is looked up in this module's globals on every call, so
+    a wrapper installed on it sees every job, in-process or in a worker.
+    """
+    if active_injector() is not None:
+        fault_injection_point(spec.fingerprint(), attempt)
+    return execute_spec(spec, settings)
+
+
 def _execute_in_worker(spec: RunSpec, attempt: int = 0) -> ActiveLearningResult:
     """Top-level (picklable) job body run inside a pool worker."""
     assert _WORKER_SETTINGS is not None, "worker initializer did not run"
-    if active_injector() is not None:
-        fault_injection_point(spec.fingerprint(), attempt)
-    return execute_spec(spec, _WORKER_SETTINGS)
+    return _run_job(spec, attempt, _WORKER_SETTINGS)
 
 
-class ParallelExecutor:
-    """Fan jobs out over a :class:`ProcessPoolExecutor`.
+class _InProcessRunner:
+    """Runs jobs in the calling process, one at a time.
 
-    ``execute`` yields ``(spec, result)`` pairs in *completion* order, so the
-    engine persists every finished run immediately — an interrupted parallel
-    sweep resumes from the completed runs, not just a submission-order
-    prefix.  When a job fails (or the interrupt lands) while runs are
-    executing, queued jobs are cancelled and finished siblings are still
-    yielded for persistence; only a failure raised by the *consumer* while
-    it handles a result (which closes the generator) can drop
-    completed-but-unyielded siblings.  Curves stay bit-identical to serial
-    execution because results are keyed by spec and every run is seeded
-    independently of the order in which its siblings finish.
-
-    With a :class:`~repro.experiments.faults.RetryPolicy` the executor runs
-    in fault-tolerant mode: transient failures are resubmitted with
-    deterministic backoff, jobs exceeding ``policy.timeout`` are cancelled
-    by tearing down (and rebuilding) the worker pool — a
-    :class:`ProcessPoolExecutor` cannot preempt a single running task — and
-    a :class:`BrokenProcessPool` (worker OOM-killed or crashed) rebuilds the
-    pool and resubmits the in-flight specs, quarantining any spec that
-    kills the pool :data:`~repro.experiments.faults.POOL_KILL_QUARANTINE`
-    times.  ``keep_going`` turns permanent failures into ``last_failures``
-    records instead of aborting the sweep.
+    ``submit`` only queues a job and ``wait`` runs it.  The scheduling loop
+    refills its window before it yields, so running at submit time would
+    start job *n + 1* before job *n* is persisted.  Only :class:`Exception`
+    is captured into the future: an interrupt propagates out of ``wait``
+    and takes the loop's abort path.
     """
 
-    def __init__(
-        self,
-        jobs: int = 2,
-        retry_policy: RetryPolicy | None = None,
-        keep_going: bool = False,
-        injector: FaultInjector | None = None,
-    ) -> None:
-        if jobs < 1:
-            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        if retry_policy is None and (keep_going or injector is not None):
-            retry_policy = RetryPolicy()
-        self.retry_policy = retry_policy
-        self.keep_going = keep_going
-        self.injector = injector
-        self.last_failures: list[FailureRecord] = []
-        self.last_retries = 0
+    def __init__(self, settings: ExperimentSettings) -> None:
+        self._settings = settings
+        self._queued: deque[tuple[Future[ActiveLearningResult], RunSpec,
+                                  int]] = deque()
 
-    def execute(
-        self, specs: Sequence[RunSpec], settings: ExperimentSettings,
-    ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        self.last_failures = []
-        self.last_retries = 0
-        if not specs:
-            return
-        if self.retry_policy is not None:
-            # Fault tolerance needs process isolation even for one job —
-            # per-job timeouts and kill recovery cannot work in-process.
-            yield from self._execute_with_policy(specs, settings)
-            return
-        if self.jobs == 1 or len(specs) == 1:
-            yield from SerialExecutor().execute(specs, settings)
-            return
-        batch_scenarios = tuple(
-            {spec.scenario: get_scenario(spec.scenario) for spec in specs}
-            .values())
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(specs)),
-            initializer=_init_worker,
-            initargs=(settings, batch_scenarios),
-        ) as pool:
-            futures = {pool.submit(_execute_in_worker, spec): spec
-                       for spec in specs}
-            consumed: set = set()
-            try:
-                for future in as_completed(futures):
-                    consumed.add(future)
-                    yield futures[future], future.result()
-            except GeneratorExit:
-                # The consumer stopped early; don't run what it won't see.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            except BaseException:
-                # One run failed, or the sweep was interrupted (Ctrl-C).
-                # Cancel the queued jobs, wait out the few still running
-                # (on SIGINT the workers are interrupted too, so this is
-                # short), and hand every salvageable finished run to the
-                # engine for persistence before the error propagates —
-                # otherwise a resume would re-execute runs that completed.
-                pool.shutdown(wait=True, cancel_futures=True)
-                for future, spec in futures.items():
-                    if (future not in consumed and future.done()
-                            and not future.cancelled()
-                            and future.exception() is None):
-                        yield spec, future.result()
-                raise
+    def submit(self, spec: RunSpec,
+               attempt: int) -> Future[ActiveLearningResult]:
+        future: Future[ActiveLearningResult] = Future()
+        self._queued.append((future, spec, attempt))
+        return future
 
-    def _new_pool(
-        self,
-        workers: int,
-        settings: ExperimentSettings,
-        batch_scenarios: tuple[Scenario, ...],
-        injector: FaultInjector | None,
-    ) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(settings, batch_scenarios, injector),
-        )
+    def wait(self, futures: set[Future[ActiveLearningResult]],
+             timeout: float | None) -> set[Future[ActiveLearningResult]]:
+        future, spec, attempt = self._queued.popleft()
+        future.set_running_or_notify_cancel()
+        try:
+            future.set_result(_run_job(spec, attempt, self._settings))
+        except Exception as error:
+            future.set_exception(error)
+        return {future}
 
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    def close(self) -> None:
+        for future, _spec, _attempt in self._queued:
+            future.cancel()
+        self._queued.clear()
+
+    # Nothing runs between calls: restarting or draining is cancelling.
+    restart = drain = close
+
+
+class _PoolRunner:
+    """Submits jobs to a :class:`ProcessPoolExecutor` it can rebuild."""
+
+    def __init__(self, workers: int, settings: ExperimentSettings,
+                 scenarios: tuple[Scenario, ...],
+                 injector: FaultInjector | None) -> None:
+        self._workers = workers
+        self._initargs = (settings, scenarios, injector)
+        self._pool = self._new_pool()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(max_workers=self._workers,
+                                   initializer=_init_worker,
+                                   initargs=self._initargs)
+
+    def submit(self, spec: RunSpec,
+               attempt: int) -> Future[ActiveLearningResult]:
+        return self._pool.submit(_execute_in_worker, spec, attempt)
+
+    def wait(self, futures: set[Future[ActiveLearningResult]],
+             timeout: float | None) -> set[Future[ActiveLearningResult]]:
+        return wait(futures, timeout=timeout, return_when=FIRST_COMPLETED).done
+
+    def restart(self) -> None:
+        self.close()
+        self._pool = self._new_pool()
+
+    def drain(self) -> None:
+        """Cancel the queued jobs and wait for the running ones."""
+        self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def close(self) -> None:
         """Hard-stop a pool whose workers may be hung, dead, or healthy.
 
         ``shutdown`` alone would join the workers, which blocks forever on a
@@ -620,8 +512,8 @@ class ParallelExecutor:
         process table is a private attribute; if a future interpreter hides
         it, the fallback is a plain (potentially blocking) shutdown.
         """
-        pool.shutdown(wait=False, cancel_futures=True)
-        processes = getattr(pool, "_processes", None) or {}
+        self._pool.shutdown(wait=False, cancel_futures=True)
+        processes = getattr(self._pool, "_processes", None) or {}
         for process in list(processes.values()):
             process.terminate()
         for process in list(processes.values()):
@@ -629,26 +521,72 @@ class ParallelExecutor:
             if process.is_alive():
                 process.kill()
 
-    def _execute_with_policy(
+
+class JobExecutor:
+    """The scheduling loop of both executors; subclasses choose the runner.
+
+    ``execute`` keeps at most ``jobs`` attempts in flight and yields
+    ``(spec, result)`` pairs in completion order, refilling the window
+    before each yield so no worker idles while the engine persists a run.
+    Results are keyed by spec and every run is seeded independently, so
+    curves do not depend on the executor.
+
+    Every failed attempt goes through the :class:`RetryPolicy`: transient
+    errors re-enter the window after a deterministic backoff, the rest
+    become ``last_failures`` records.  Without ``keep_going`` the first
+    permanent failure aborts the batch, and so does an interrupt: queued
+    jobs are cancelled, running ones are waited out, and every finished run
+    is still yielded for persistence before the error propagates.
+
+    ``retry_policy=None`` means one attempt per job (fail fast, no
+    backoff), unless ``keep_going`` or an ``injector`` asks for the default
+    :class:`RetryPolicy`.
+    """
+
+    #: Attempts kept in flight at once (the scheduling window).
+    jobs: int
+
+    def __init__(
+        self,
+        retry_policy: RetryPolicy | None = None,
+        keep_going: bool = False,
+        injector: FaultInjector | None = None,
+    ) -> None:
+        if retry_policy is None:
+            retry_policy = (RetryPolicy() if keep_going or injector is not None
+                            else RetryPolicy(max_attempts=1))
+        self.retry_policy = retry_policy
+        self.keep_going = keep_going
+        self.injector = injector
+        self.last_failures: list[FailureRecord] = []
+        self.last_retries = 0
+
+    def _runner(self, workers: int, specs: Sequence[RunSpec],
+                settings: ExperimentSettings, injector: FaultInjector | None,
+                ) -> _InProcessRunner | _PoolRunner:
+        raise NotImplementedError
+
+    def execute(
         self, specs: Sequence[RunSpec], settings: ExperimentSettings,
     ) -> Iterator[tuple[RunSpec, ActiveLearningResult]]:
-        """Fault-tolerant scheduling loop (active when a policy is set).
+        """Run ``specs``; yield ``(spec, result)`` pairs as runs finish.
 
-        A sliding window of at most ``workers`` jobs is kept in flight, so a
-        job's submit time approximates its start time and the per-job
-        timeout can be enforced from the parent.  Completion, failure, and
-        retry are all driven off :func:`concurrent.futures.wait`; retries
-        re-enter the window after their deterministic backoff without ever
-        blocking jobs that are ready to run.
+        A job's submit time stands in for its start time, so
+        ``policy.timeout`` is enforced from the parent by restarting the
+        runner (a pool cannot preempt one task).  A broken pool (a worker
+        OOM-killed or crashed) restarts it too; the in-flight specs are
+        resubmitted, and a spec that breaks the pool
+        :data:`~repro.experiments.faults.POOL_KILL_QUARANTINE` times is
+        quarantined.
         """
+        self.last_failures = []
+        self.last_retries = 0
+        if not specs:
+            return
         policy = self.retry_policy
-        assert policy is not None
         keep_going = self.keep_going
         injector = (self.injector.resolve(list(specs))
                     if self.injector is not None else None)
-        batch_scenarios = tuple(
-            {spec.scenario: get_scenario(spec.scenario) for spec in specs}
-            .values())
         workers = min(self.jobs, len(specs))
         fingerprints = {spec: spec.fingerprint() for spec in specs}
         failed_attempts = {spec: 0 for spec in specs}
@@ -659,11 +597,11 @@ class ParallelExecutor:
         waiting: list[tuple[float, RunSpec]] = []
         running: dict[Future[ActiveLearningResult],
                       tuple[RunSpec, float]] = {}
-        abort: BaseException | None = None
-        # Parent-side injector: the store's torn-write hook fires in this
-        # process while the engine persists results.
+        finished: deque[tuple[RunSpec, ActiveLearningResult]] = deque()
+        # Parent-side injector: in-process jobs fire it here, and so does
+        # the store's torn-write hook while the engine persists results.
         init_injector(injector)
-        pool = self._new_pool(workers, settings, batch_scenarios, injector)
+        runner = self._runner(workers, specs, settings, injector)
 
         def fail_attempt(spec: RunSpec, error: BaseException,
                          seconds: float) -> bool:
@@ -685,29 +623,25 @@ class ParallelExecutor:
                 quarantined=quarantined))
             return False
 
-        def recover(victims: dict[RunSpec, BaseException] | None,
-                    ) -> tuple[list[tuple[RunSpec, ActiveLearningResult]],
-                               BaseException | None]:
-            """Tear the pool down, classify in-flight specs, rebuild.
+        def recover(victims: dict[RunSpec, BaseException] | None) -> None:
+            """Classify the in-flight specs, restart the runner.
 
-            ``victims`` maps the specs blamed for the teardown to their
+            ``victims`` maps the specs blamed for the restart to their
             synthetic errors (timeouts); ``None`` means a worker crash, in
             which case the blame goes to the spec a chaos ``kill`` directive
             targeted — or, for real crashes, conservatively to every
             in-flight spec.  Innocent in-flight specs are resubmitted
-            without consuming a retry.  Returns salvageable finished
-            results and the error to abort with (if any).
+            without consuming a retry; finished runs are kept for yielding.
+            Raises the first permanent failure unless ``keep_going``.
             """
-            nonlocal pool
-            salvaged: list[tuple[RunSpec, ActiveLearningResult]] = []
             fatal: BaseException | None = None
             inflight: list[tuple[RunSpec, float]] = []
             now = time.monotonic()
             for future, (spec, started) in running.items():
-                finished = future.done() and not future.cancelled()
-                error = future.exception() if finished else None
-                if finished and error is None:
-                    salvaged.append((spec, future.result()))
+                settled = future.done() and not future.cancelled()
+                error = future.exception() if settled else None
+                if settled and error is None:
+                    finished.append((spec, future.result()))
                 elif error is not None and not isinstance(error,
                                                           BrokenProcessPool):
                     # A plain failure that completed just as the pool broke.
@@ -733,114 +667,152 @@ class ParallelExecutor:
                 for spec in victims:
                     pool_kills[spec] += 1
             for spec, started in inflight:
-                if spec in victims:
-                    if (not fail_attempt(spec, victims[spec], now - started)
-                            and not keep_going and fatal is None):
-                        fatal = victims[spec]
-                else:
+                if spec not in victims:
                     ready.append(spec)
-            self._terminate_pool(pool)
-            pool = self._new_pool(workers, settings, batch_scenarios,
-                                  injector)
-            return salvaged, fatal
+                elif (not fail_attempt(spec, victims[spec], now - started)
+                      and not keep_going and fatal is None):
+                    fatal = victims[spec]
+            runner.restart()
+            if fatal is not None:
+                raise fatal
 
         try:
-            while ready or waiting or running:
-                now = time.monotonic()
-                if waiting:
-                    due = [entry for entry in waiting if entry[0] <= now]
-                    if due:
-                        waiting = [entry for entry in waiting
-                                   if entry[0] > now]
-                        for _, spec in sorted(
-                                due, key=lambda entry: fingerprints[entry[1]]):
-                            ready.append(spec)
-                broken_on_submit = False
-                while ready and len(running) < workers:
-                    spec = ready.popleft()
-                    try:
-                        future = pool.submit(_execute_in_worker, spec,
-                                             failed_attempts[spec])
-                    except BrokenProcessPool:
-                        ready.appendleft(spec)
-                        broken_on_submit = True
-                        break
-                    running[future] = (spec, time.monotonic())
-                if broken_on_submit:
-                    salvaged, fatal = recover(None)
-                    for item in salvaged:
-                        yield item
-                    if fatal is not None:
-                        abort = fatal
-                        break
-                    continue
-                if not running:
-                    if waiting:
-                        next_ready = min(entry[0] for entry in waiting)
-                        time.sleep(max(0.0, next_ready - time.monotonic()))
-                    continue
-                deadlines: list[float] = []
-                if policy.timeout is not None:
-                    deadlines.extend(started + policy.timeout - now
-                                     for _, started in running.values())
-                deadlines.extend(entry[0] - now for entry in waiting)
-                timeout = max(0.0, min(deadlines)) if deadlines else None
-                done, _ = wait(set(running), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                pool_broken = False
-                for future in sorted(
-                        done, key=lambda f: fingerprints[running[f][0]]):
-                    spec, started = running.pop(future)
-                    seconds = time.monotonic() - started
-                    error = future.exception()
-                    if error is None:
-                        yield spec, future.result()
-                    elif isinstance(error, BrokenProcessPool):
-                        running[future] = (spec, started)
-                        pool_broken = True
-                        break
-                    elif not fail_attempt(spec, error, seconds) \
-                            and not keep_going:
-                        abort = error
-                        break
-                if abort is not None:
-                    break
-                if pool_broken:
-                    salvaged, fatal = recover(None)
-                    for item in salvaged:
-                        yield item
-                    if fatal is not None:
-                        abort = fatal
-                        break
-                    continue
-                if policy.timeout is not None:
+            try:
+                while ready or waiting or running or finished:
                     now = time.monotonic()
-                    overdue = {
-                        spec: JobTimeoutError(
-                            f"job {fingerprints[spec][:8]} exceeded the "
-                            f"{policy.timeout:g}s per-job timeout")
-                        for _, (spec, started) in running.items()
-                        if now - started >= policy.timeout}
-                    if overdue:
-                        salvaged, fatal = recover(overdue)
-                        for item in salvaged:
-                            yield item
-                        if fatal is not None:
-                            abort = fatal
+                    due = [entry for entry in waiting if entry[0] <= now]
+                    waiting = [entry for entry in waiting if entry[0] > now]
+                    for _, spec in sorted(
+                            due, key=lambda entry: fingerprints[entry[1]]):
+                        ready.append(spec)
+                    while ready and len(running) < workers:
+                        spec = ready.popleft()
+                        try:
+                            future = runner.submit(spec, failed_attempts[spec])
+                        except BrokenProcessPool:
+                            ready.appendleft(spec)
+                            recover(None)
+                            continue
+                        running[future] = (spec, time.monotonic())
+                    # The window is full again: hand over the finished runs.
+                    while finished:
+                        yield finished.popleft()
+                    if not running:
+                        if waiting:
+                            next_due = min(entry[0] for entry in waiting)
+                            time.sleep(max(0.0, next_due - time.monotonic()))
+                        continue
+                    now = time.monotonic()
+                    deadlines = [entry[0] - now for entry in waiting]
+                    if policy.timeout is not None:
+                        deadlines.extend(started + policy.timeout - now
+                                         for _, started in running.values())
+                    done = runner.wait(set(running),
+                                       max(0.0, min(deadlines))
+                                       if deadlines else None)
+                    for future in sorted(
+                            done, key=lambda f: fingerprints[running[f][0]]):
+                        error = future.exception()
+                        if isinstance(error, BrokenProcessPool):
+                            recover(None)
                             break
-            if abort is not None:
-                # Fail-fast abort: wait out still-running siblings, hand
-                # every salvageable finished run to the engine for
+                        spec, started = running.pop(future)
+                        if error is None:
+                            finished.append((spec, future.result()))
+                        elif (not fail_attempt(spec, error,
+                                               time.monotonic() - started)
+                              and not keep_going):
+                            raise error
+                    if policy.timeout is not None:
+                        now = time.monotonic()
+                        overdue: dict[RunSpec, BaseException] = {
+                            spec: JobTimeoutError(
+                                f"job {fingerprints[spec][:8]} exceeded the "
+                                f"{policy.timeout:g}s per-job timeout")
+                            for spec, started in running.values()
+                            if now - started >= policy.timeout}
+                        if overdue:
+                            recover(overdue)
+            except GeneratorExit:
+                raise  # the consumer stopped early; it sees no more results
+            except BaseException:
+                # A permanent failure or an interrupt: wait out the running
+                # siblings and hand every finished run to the engine for
                 # persistence, then propagate.
-                pool.shutdown(wait=True, cancel_futures=True)
+                runner.drain()
                 for future, (spec, _started) in running.items():
                     if (future.done() and not future.cancelled()
                             and future.exception() is None):
-                        yield spec, future.result()
-                raise abort
+                        finished.append((spec, future.result()))
+                while finished:
+                    yield finished.popleft()
+                raise
         finally:
             init_injector(None)
-            self._terminate_pool(pool)
+            runner.close()
+
+
+class SerialExecutor(JobExecutor):
+    """Run jobs one after another in the calling process.
+
+    The shared scheduling loop over an in-process runner (a window of one):
+    retries, backoff, fault injection and the failure records all work, and
+    each run is persisted before the next one starts.  Per-job *timeouts*
+    and worker-crash recovery need process isolation and are therefore
+    exclusive to :class:`ParallelExecutor`.
+    """
+
+    jobs = 1
+
+    def __init__(
+        self,
+        retry_policy: RetryPolicy | None = None,
+        keep_going: bool = False,
+        injector: FaultInjector | None = None,
+    ) -> None:
+        super().__init__(retry_policy, keep_going, injector)
+        if self.retry_policy.timeout is not None:
+            warnings.warn(
+                "SerialExecutor cannot enforce per-job timeouts (jobs run in "
+                "the calling process); use ParallelExecutor for --timeout",
+                stacklevel=2)
+
+    def _runner(self, workers: int, specs: Sequence[RunSpec],
+                settings: ExperimentSettings, injector: FaultInjector | None,
+                ) -> _InProcessRunner:
+        return _InProcessRunner(settings)
+
+
+class ParallelExecutor(JobExecutor):
+    """Fan jobs out over a pool of ``jobs`` worker processes.
+
+    The shared scheduling loop over a pool runner, for any batch size.
+    Workers each keep their own dataset cache (one benchmark load per
+    worker, not per job).  Process isolation adds what the in-process
+    runner cannot do: a job exceeding ``policy.timeout`` is cancelled by
+    tearing the pool down and rebuilding it, and a :class:`BrokenProcessPool`
+    (a worker OOM-killed or crashed) rebuilds the pool and resubmits the
+    in-flight specs, charging the attempt to the spec that broke it.
+    """
+
+    def __init__(
+        self,
+        jobs: int = 2,
+        retry_policy: RetryPolicy | None = None,
+        keep_going: bool = False,
+        injector: FaultInjector | None = None,
+    ) -> None:
+        if jobs < 1:
+            raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+        super().__init__(retry_policy, keep_going, injector)
+        self.jobs = jobs
+
+    def _runner(self, workers: int, specs: Sequence[RunSpec],
+                settings: ExperimentSettings, injector: FaultInjector | None,
+                ) -> _PoolRunner:
+        scenarios = tuple({spec.scenario: get_scenario(spec.scenario)
+                           for spec in specs}.values())
+        return _PoolRunner(workers, settings, scenarios, injector)
 
     def map_indexed(
         self,
@@ -956,7 +928,7 @@ class ExperimentEngine:
     def __init__(
         self,
         settings: ExperimentSettings,
-        executor: SerialExecutor | ParallelExecutor | None = None,
+        executor: JobExecutor | None = None,
         store: ArtifactStore | None = None,
         plan_only: bool = False,
         manifest_id: str | None = None,
@@ -1089,9 +1061,8 @@ class ExperimentEngine:
                 if self.store is not None:
                     executed_fingerprints.append(self._persist(spec, result))
         finally:
-            failures = list(getattr(self.executor, "last_failures", ()))
-            retried = (int(getattr(self.executor, "last_retries", 0))
-                       + self._put_retries)
+            failures = list(self.executor.last_failures)
+            retried = self.executor.last_retries + self._put_retries
             self.last_report = EngineReport(executed=executed,
                                             from_store=from_store,
                                             from_memory=from_memory,
@@ -1111,8 +1082,7 @@ class ExperimentEngine:
         Returns the spec's fingerprint.
         """
         assert self.store is not None
-        policy: RetryPolicy | None = getattr(self.executor, "retry_policy",
-                                             None)
+        policy = self.executor.retry_policy
         fingerprint = spec.fingerprint()
         failed = 0
         while True:
@@ -1121,7 +1091,7 @@ class ExperimentEngine:
                 return fingerprint
             except Exception as error:
                 failed += 1
-                if policy is None or not policy.retryable(error, failed):
+                if not policy.retryable(error, failed):
                     raise
                 self._put_retries += 1
                 time.sleep(policy.backoff_seconds(f"put:{fingerprint}",

@@ -18,7 +18,7 @@ from repro.baselines.full_training import train_full_matcher
 from repro.evaluation.curves import LearningCurve
 from repro.exceptions import ConfigurationError
 from repro.experiments.configs import ABLATION_DATASETS, ExperimentSettings, default_settings
-from repro.experiments.engine import ExperimentEngine, SerialExecutor
+from repro.experiments.engine import ExperimentEngine
 from repro.experiments.paper_values import (
     FIGURE7_BETA_F1,
     FIGURE8_CORRESPONDENCE,
@@ -167,8 +167,7 @@ def _measures_timings_faithfully(engine: ExperimentEngine) -> bool:
         return True
     if engine.store is not None:
         return False
-    executor = engine.executor
-    return isinstance(executor, SerialExecutor) or getattr(executor, "jobs", 0) == 1
+    return engine.executor.jobs == 1
 
 
 def figure6_runtime(

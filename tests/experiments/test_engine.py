@@ -7,10 +7,13 @@ end in seconds.
 """
 
 import json
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import pytest
 
+import repro.experiments.engine as engine_module
 from repro.active.loop import ActiveLearningResult, IterationRecord
 from repro.config import get_scale
 from repro.evaluation.metrics import MatchingMetrics
@@ -329,6 +332,33 @@ class TestEngine:
 #: Zero-sleep policy for chaos tests: retries must not slow the suite down.
 FAST_RETRY = RetryPolicy(max_attempts=3, backoff_base=0.0, jitter=0.0)
 
+#: Both executors, for the acceptance tests whose faults are safe to inject
+#: in the test process (``kill`` and ``hang`` stay pool-only).
+BOTH_EXECUTORS = pytest.mark.parametrize(
+    "make_executor", [SerialExecutor, partial(ParallelExecutor, jobs=2)],
+    ids=["serial", "parallel"])
+
+#: Submit/persist events of the refill-before-yield test, in order.
+_EVENTS: list[tuple[str, RunSpec]] = []
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    def submit(self, fn, /, *args, **kwargs):
+        _EVENTS.append(("submit", args[0]))
+        return super().submit(fn, *args, **kwargs)
+
+
+class _RecordingStore(ArtifactStore):
+    def put(self, spec, result, manifest=None):
+        _EVENTS.append(("put", spec))
+        return super().put(spec, result, manifest=manifest)
+
+
+def _three_specs(settings):
+    """Two random runs and a dal run: one more job than two workers."""
+    return (enumerate_run_specs("amazon_google", "random", settings)
+            + enumerate_run_specs("amazon_google", "dal", settings)[:1])
+
 
 def _assert_same_curves(actual, expected, specs):
     """Learning curves and metrics bit-identical (timings legitimately vary)."""
@@ -356,13 +386,14 @@ def _normalized_store_payloads(root) -> dict[str, dict]:
 class TestFaultTolerance:
     """The PR's acceptance criteria: injected faults cost retries, not sweeps."""
 
-    def test_serial_transient_fault_retries_to_identical_results(
-            self, fast_settings):
+    @BOTH_EXECUTORS
+    def test_transient_fault_retries_identically(self, fast_settings,
+                                                 make_executor):
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         clean = ExperimentEngine(fast_settings).run(specs)
 
         injector = FaultInjector.from_spec("raise@0,raise@1").resolve(specs)
-        executor = SerialExecutor(retry_policy=FAST_RETRY, injector=injector)
+        executor = make_executor(retry_policy=FAST_RETRY, injector=injector)
         engine = ExperimentEngine(fast_settings, executor=executor)
         chaotic = engine.run(specs)
 
@@ -418,16 +449,17 @@ class TestFaultTolerance:
         assert engine.last_report.failed == 0
         _assert_same_curves(chaotic, clean, specs)
 
+    @BOTH_EXECUTORS
     def test_keep_going_records_ledger_and_resume_retries_exactly_it(
-            self, tmp_path, fast_settings):
+            self, tmp_path, fast_settings, make_executor):
         """Acceptance: permanent failure → sibling persists + resumable ledger."""
         store_path = tmp_path / "store"
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         injector = FaultInjector.from_spec("permanent@0").resolve(specs)
         engine = ExperimentEngine(
             fast_settings,
-            executor=ParallelExecutor(jobs=2, retry_policy=FAST_RETRY,
-                                      keep_going=True, injector=injector),
+            executor=make_executor(retry_policy=FAST_RETRY, keep_going=True,
+                                   injector=injector),
             store=ArtifactStore(store_path))
         results = engine.run(specs)
 
@@ -452,15 +484,16 @@ class TestFaultTolerance:
         # The success cleared the ledger entry (and the now-empty file).
         assert not ledger_path(store_path).exists()
 
+    @BOTH_EXECUTORS
     def test_exhausted_transient_retries_become_permanent_failures(
-            self, fast_settings):
+            self, fast_settings, make_executor):
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         # Every attempt of job 0 fails: the retry budget runs out.
         injector = FaultInjector.from_spec(
             "raise@0:0,raise@0:1").resolve(specs)
         policy = RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0)
-        executor = SerialExecutor(retry_policy=policy, keep_going=True,
-                                  injector=injector)
+        executor = make_executor(retry_policy=policy, keep_going=True,
+                                 injector=injector)
         engine = ExperimentEngine(fast_settings, executor=executor)
         results = engine.run(specs)
 
@@ -490,16 +523,125 @@ class TestFaultTolerance:
         assert failure.error_type == "WorkerCrashError"
         assert failure.attempts == 2  # quarantined before the budget ran out
 
-    def test_fail_fast_raises_after_retries_exhausted(self, fast_settings):
+    @BOTH_EXECUTORS
+    def test_fail_fast_raises_permanent_failure(self, fast_settings,
+                                                make_executor):
         specs = enumerate_run_specs("amazon_google", "random", fast_settings)
         injector = FaultInjector.from_spec("permanent@0").resolve(specs)
         engine = ExperimentEngine(
             fast_settings,
-            executor=ParallelExecutor(jobs=2, retry_policy=FAST_RETRY,
-                                      injector=injector))
+            executor=make_executor(retry_policy=FAST_RETRY,
+                                   injector=injector))
         from repro.experiments.faults import InjectedPermanentError
         with pytest.raises(InjectedPermanentError):
             engine.run(specs)
+
+    def test_default_fail_fast_failure_is_ledgered_until_a_resume_succeeds(
+            self, tmp_path, fast_settings, monkeypatch):
+        """Fail-fast is a one-attempt policy, so its failure is recorded too."""
+        store_path = tmp_path / "store"
+        specs = enumerate_run_specs("amazon_google", "random", fast_settings)
+        execute_spec = engine_module.execute_spec
+
+        def fail_first(spec, settings):
+            if spec == specs[0]:
+                raise RuntimeError("first job breaks")
+            return execute_spec(spec, settings)
+
+        monkeypatch.setattr(engine_module, "execute_spec", fail_first)
+        engine = ExperimentEngine(fast_settings,
+                                  store=ArtifactStore(store_path))
+        with pytest.raises(RuntimeError, match="first job breaks"):
+            engine.run(specs)
+        assert engine.last_report.failed == 1
+        assert engine.last_report.retried == 0
+        entry, = FailureLedger(ledger_path(store_path)).entries.values()
+        assert entry.fingerprint == specs[0].fingerprint()
+        assert entry.attempts == 1
+
+        monkeypatch.undo()
+        resumed = ExperimentEngine(fast_settings,
+                                   store=ArtifactStore(store_path))
+        resumed.run(specs)
+        assert resumed.last_report.executed == len(specs)
+        assert not ledger_path(store_path).exists()
+
+    @pytest.mark.parametrize("jobs, count", [(1, 2), (2, 1)])
+    def test_parallel_executor_always_runs_jobs_in_a_pool(
+            self, fast_settings, monkeypatch, jobs, count):
+        """jobs=1 and single-spec batches run in a worker, not the caller."""
+        specs = enumerate_run_specs("amazon_google", "random",
+                                    fast_settings)[:count]
+        in_caller: list[RunSpec] = []
+        execute_spec = engine_module.execute_spec
+
+        def recording(spec, settings):
+            in_caller.append(spec)  # a worker appends to its own copy
+            return execute_spec(spec, settings)
+
+        monkeypatch.setattr(engine_module, "execute_spec", recording)
+        engine = ExperimentEngine(fast_settings,
+                                  executor=ParallelExecutor(jobs=jobs))
+        assert set(engine.run(specs)) == set(specs)
+        assert in_caller == []
+        ExperimentEngine(fast_settings).run(specs[:1])
+        assert in_caller == specs[:1]  # the serial executor runs in-process
+
+    def test_window_is_refilled_before_a_result_is_persisted(
+            self, tmp_path, fast_settings, monkeypatch):
+        """Each result is persisted while the other worker is already busy."""
+        specs = _three_specs(fast_settings)
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor",
+                            _RecordingPool)
+        _EVENTS.clear()
+        engine = ExperimentEngine(fast_settings,
+                                  executor=ParallelExecutor(jobs=2),
+                                  store=_RecordingStore(tmp_path / "store"))
+        engine.run(specs)
+        # A put before the third submit would leave a worker idle while the
+        # artifact is written.
+        assert [kind for kind, _ in _EVENTS] == ["submit"] * 3 + ["put"] * 3
+        assert {spec for _, spec in _EVENTS} == set(specs)
+
+    def test_serial_executor_persists_each_run_before_the_next_starts(
+            self, tmp_path, fast_settings, monkeypatch):
+        specs = enumerate_run_specs("amazon_google", "random", fast_settings)
+        store = ArtifactStore(tmp_path / "store")
+        stored_at_start: list[int] = []
+        execute_spec = engine_module.execute_spec
+
+        def recording(spec, settings):
+            stored_at_start.append(len(store))
+            return execute_spec(spec, settings)
+
+        monkeypatch.setattr(engine_module, "execute_spec", recording)
+        ExperimentEngine(fast_settings, store=store).run(specs)
+        assert stored_at_start == [0, 1]
+
+    def test_interrupt_persists_finished_runs_before_propagating(
+            self, tmp_path, fast_settings, monkeypatch):
+        """Ctrl-C out of the loop's wait cancels the queue, keeps the rest."""
+        specs = _three_specs(fast_settings)
+        calls = []
+        real_wait = engine_module.wait
+
+        def interrupted_second_wait(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "wait", interrupted_second_wait)
+        store_path = tmp_path / "store"
+        engine = ExperimentEngine(fast_settings,
+                                  executor=ParallelExecutor(jobs=2),
+                                  store=ArtifactStore(store_path))
+        with pytest.raises(KeyboardInterrupt):
+            engine.run(specs)
+        # All three had started before the interrupt; the running ones were
+        # waited out and persisted, so a resume executes nothing.
+        assert engine.last_report.executed == len(specs)
+        assert len(ArtifactStore(store_path)) == len(specs)
 
     def test_serial_executor_warns_it_cannot_enforce_timeouts(self):
         with pytest.warns(UserWarning, match="timeout"):
