@@ -10,11 +10,19 @@ import numpy as np
 
 
 def _pairwise_euclidean(points: np.ndarray) -> np.ndarray:
-    """Full pairwise Euclidean distance matrix."""
+    """Full pairwise Euclidean distance matrix with an exact-zero diagonal.
+
+    The expansion ``|x|^2 - 2 x.y + |y|^2`` leaves a rounding residue on the
+    diagonal; it is zeroed so a point contributes nothing to its own
+    cluster's distance sum.  The steps run in place on one n x n block.
+    """
     norms = np.sum(points * points, axis=1)
-    squared = norms[:, None] - 2.0 * points @ points.T + norms[None, :]
+    squared = 2.0 * points @ points.T
+    np.subtract(norms[:, None], squared, out=squared)
+    squared += norms[None, :]
     np.maximum(squared, 0.0, out=squared)
-    return np.sqrt(squared)
+    np.fill_diagonal(squared, 0.0)
+    return np.sqrt(squared, out=squared)
 
 
 def silhouette_samples(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -22,36 +30,36 @@ def silhouette_samples(points: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
     For point ``i`` with intra-cluster mean distance ``a`` and smallest
     mean distance to another cluster ``b``, the coefficient is
-    ``(b - a) / max(a, b)``.  Points in singleton clusters receive 0.
+    ``(b - a) / max(a, b)``.  Points in singleton clusters receive 0, and
+    so do points with ``max(a, b) == 0``.  Both means come from per-cluster
+    distance sums, one product of the distance matrix with the one-hot
+    cluster membership matrix.
     """
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if len(points) != len(labels):
         raise ValueError("points and labels must have the same length")
-    unique = np.unique(labels)
+    unique, inverse = np.unique(labels, return_inverse=True)
     if len(unique) < 2:
         raise ValueError("Silhouette requires at least two clusters")
 
-    distances = _pairwise_euclidean(points)
     n = len(points)
+    rows = np.arange(n)
+    onehot = np.zeros((n, len(unique)))
+    onehot[rows, inverse] = 1.0
+    sums = _pairwise_euclidean(points) @ onehot
+    sizes = np.bincount(inverse).astype(np.float64)
+
+    own_size = sizes[inverse] - 1.0
+    has_company = own_size > 0
+    a = np.divide(sums[rows, inverse], own_size, out=np.zeros(n), where=has_company)
+    means = sums / sizes
+    means[rows, inverse] = np.inf
+    b = means.min(axis=1)
+    denominator = np.maximum(a, b)
+    scored = has_company & (denominator > 0)
     scores = np.zeros(n)
-    cluster_masks = {cluster: labels == cluster for cluster in unique}
-    for i in range(n):
-        own = cluster_masks[labels[i]].copy()
-        own[i] = False
-        own_size = int(np.sum(own))
-        if own_size == 0:
-            scores[i] = 0.0
-            continue
-        a = float(np.mean(distances[i, own]))
-        b = np.inf
-        for cluster in unique:
-            if cluster == labels[i]:
-                continue
-            other = cluster_masks[cluster]
-            b = min(b, float(np.mean(distances[i, other])))
-        denominator = max(a, b)
-        scores[i] = 0.0 if denominator == 0 else (b - a) / denominator
+    scores[scored] = (b[scored] - a[scored]) / denominator[scored]
     return scores
 
 
